@@ -14,9 +14,9 @@ shrink.  This bench races ``Compactor(use_index=...)`` off vs on over
 asserts the outputs are identical, and writes
 ``benchmarks/results/BENCH_compact.json``.  CI runs the smoke variant
 (``BENCH_SMOKE=1``: base row size only) and fails the build when the
-indexed ``compact.pairs_scanned`` counters regress against the committed
-JSON — the counters are deterministic, so any increase is a real loss of
-pruning, not noise.
+indexed ``compact.pairs_scanned`` or ``links.rebuilds`` counters regress
+against the committed JSON — the counters are deterministic, so any
+increase is a real loss of pruning, not noise.
 """
 
 import json
@@ -50,6 +50,9 @@ COUNTERS = (
     ("sweeps", "compact.index_sweeps"),
     ("sweep_hits", "compact.index_sweep_hits"),
     ("rebuilds", "compact.index_rebuilds"),
+    # Link rebuilds the edge moves caused: deterministic, gated exactly in
+    # CI (``--metric '*links.rebuilds'``) like the pair counters.
+    ("links.rebuilds", "links.rebuilds"),
 )
 
 

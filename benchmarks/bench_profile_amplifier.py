@@ -15,7 +15,10 @@ shared or its sweeps regressed to quadratic.  Likewise the DRC checker's
 ``check_spacing`` / ``_Components`` (the post-netindex dominant hotspot,
 now served by :class:`~repro.drc.index.DrcIndex`) must stay out of the
 top-5 — its reappearance means ``run_drc`` fell back to the all-pairs
-reference path.
+reference path.  And the link solver (``LayoutObject._solve_links`` plus the
+link rebuilds it drives), ~30% of the build while every edge move
+re-solved every link, must stay out of the top-5 — its reappearance means
+edge moves stopped re-solving only the links they reach.
 
 Run ``BENCH_SMOKE=1 pytest benchmarks/bench_profile_amplifier.py`` for the
 CI variant (identical workload; one build is already only a few seconds).
@@ -58,6 +61,9 @@ def test_profile_amplifier(tech, record, ledger_append):
     assert not any(
         "check_spacing" in name or "_Components" in name for name in top5
     ), f"the all-pairs DRC path is a top-5 hotspot again: {top5}"
+    assert not any(
+        "_solve_links" in name or "Link.rebuild" in name for name in top5
+    ), f"link solving is a top-5 hotspot again: {top5}"
 
     RESULTS_DIR.mkdir(exist_ok=True)
     profiler.write_folded(RESULTS_DIR / "t_profile_amplifier.folded")

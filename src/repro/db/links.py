@@ -36,6 +36,10 @@ class Link:
         """Every rect referenced (for copy remapping)."""
         raise NotImplementedError
 
+    def outputs(self) -> List[Rect]:
+        """The rects :meth:`rebuild` may write — the live list, not a copy."""
+        raise NotImplementedError
+
     def remapped(self, mapping: Dict[int, Rect]) -> "Link":
         """Return a copy with rect references swapped per ``id`` mapping."""
         raise NotImplementedError
@@ -82,6 +86,9 @@ class InsideLink(Link):
 
     def involved_rects(self) -> List[Rect]:
         return [self.inner] + [outer for outer, _ in self.outers]
+
+    def outputs(self) -> List[Rect]:
+        return [self.inner]
 
     def remapped(self, mapping: Dict[int, Rect]) -> "InsideLink":
         link = InsideLink(
@@ -206,6 +213,10 @@ class ArrayLink(Link):
 
     def involved_rects(self) -> List[Rect]:
         return list(self.rects) + [outer for outer, _ in self.outers]
+
+    def outputs(self) -> List[Rect]:
+        # rebuild() may append cuts to this very list.
+        return self.rects
 
     def remapped(self, mapping: Dict[int, Rect]) -> "ArrayLink":
         link = ArrayLink(

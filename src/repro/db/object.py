@@ -10,9 +10,11 @@ structure".
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from bisect import insort
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..geometry import Direction, Rect, Transform, bounding_box, union_area
+from ..obs import get_tracer
 from ..obs.provenance import get_recorder
 from ..tech import Technology
 from ..tech.layer import LayerKind
@@ -36,6 +38,21 @@ class Label:
         return f"Label({self.text!r}, {self.x}, {self.y}, {self.layer!r})"
 
 
+def _add_dependent(
+    deps: Dict[int, Union[int, Tuple[int, ...]]], key: int, position: int
+) -> None:
+    """Record that link *position* involves rect id *key* (positions only
+    grow, so tuples stay ascending; snapshots share them, so never mutate)."""
+    positions = deps.get(key)
+    if positions is None:
+        deps[key] = position
+    elif positions.__class__ is int:
+        if positions != position:
+            deps[key] = (positions, position)
+    elif positions[-1] != position:
+        deps[key] = positions + (position,)
+
+
 class LayoutObject:
     """A named, technology-bound collection of rectangles and rebuild links."""
 
@@ -48,6 +65,17 @@ class LayoutObject:
         #: Lazily built incremental spatial index (compact.index).  Never
         #: affects results — only how fast the compactor finds them.
         self._index = None
+        #: rect id -> position of the one link involving that rect, or the
+        #: ascending tuple of positions when several do (most rects have
+        #: one, and small ints cost no memory); None until first needed.
+        #: Describes ``_deps_links`` only: a replaced ``links`` list is
+        #: detected by identity and length.
+        self._deps: Optional[Dict[int, Union[int, Tuple[int, ...]]]] = None
+        self._deps_links: List[Link] = self.links
+        self._deps_len = 0
+        #: Positions of links that may be off their fixpoint (None: all of
+        #: them).  The next solve seeds its worklist with these.
+        self._unsettled: Optional[Tuple[int, ...]] = ()
 
     # ------------------------------------------------------------------
     # spatial index
@@ -81,6 +109,7 @@ class LayoutObject:
         # parallel order optimizer ships step objects to worker processes).
         state = self.__dict__.copy()
         state["_index"] = None
+        state["_deps"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -96,9 +125,25 @@ class LayoutObject:
         return rect
 
     def add_link(self, link: Link) -> Link:
-        """Register a rebuild link."""
-        self.links.append(link)
+        """Register a rebuild link (solved lazily, by the next link solve)."""
+        self._append_link(link)
         return link
+
+    def _append_link(self, link: Link) -> None:
+        """Append *link*, keeping the dependency map and unsettled set."""
+        links = self.links
+        position = len(links)
+        links.append(link)
+        if self._deps_links is not links or self._deps_len != position:
+            return  # stale: rebuilt (and fully re-solved) on next use
+        self._deps_len = position + 1
+        if self._unsettled is not None:
+            # Immutable, so snapshots share it.
+            self._unsettled += (position,)
+        deps = self._deps
+        if deps is not None:
+            for rect in link.involved_rects():
+                _add_dependent(deps, id(rect), position)
 
     def add_label(self, text: str, x: int, y: int, layer: str) -> Label:
         """Attach a text label."""
@@ -120,7 +165,7 @@ class LayoutObject:
             self.rects.append(clone)
             added.append(clone)
         for link in other.links:
-            self.links.append(link.remapped(mapping))
+            self._append_link(link.remapped(mapping))
         for label in other.labels:
             self.labels.append(label.copy())
         return added
@@ -152,6 +197,24 @@ class LayoutObject:
         clone.rects = rects
         clone.links = [link.remapped(mapping) for link in self.links]
         clone.labels = [label.copy() for label in self.labels]
+        # Port the link dependency map the same way: positions are
+        # preserved, only the rect ids change.
+        clone._deps_links = clone.links
+        clone._deps_len = len(clone.links)
+        if self._deps_links is self.links and self._deps_len == len(self.links):
+            clone._unsettled = self._unsettled
+            deps = self._deps
+            if deps is not None:
+                get = mapping.get
+                ported: Dict[int, Union[int, Tuple[int, ...]]] = {}
+                for key, positions in deps.items():
+                    twin = get(key)
+                    ported[key if twin is None else id(twin)] = positions
+                deps = ported
+            clone._deps = deps
+        else:
+            clone._unsettled = None
+            clone._deps = None
         # Carry the spatial index (with its warm frontier caches) across the
         # snapshot: rect positions are preserved, so the clone's index is
         # this one with every rect reference remapped.  The search-tree
@@ -260,6 +323,9 @@ class LayoutObject:
         for label in self.labels:
             label.x, label.y = transform.apply_point(label.x, label.y)
         self.invalidate_index()
+        # Rounding in the array placement (and InsideLink.released, which
+        # is not mirrored) can leave any link off its fixpoint.
+        self._unsettled = None
         return self
 
     def mirror_x(self, axis_y: int = 0) -> "LayoutObject":
@@ -341,7 +407,9 @@ class LayoutObject:
         if sign < 0 and prop.max_coord is not None:
             bounds.append(prop.max_coord)
 
-        for link in self.links:
+        links = self.links
+        for position in self._dependents(rect):
+            link = links[position]
             if isinstance(link, InsideLink):
                 for outer, margin in link.outers:
                     if outer is rect:
@@ -392,7 +460,9 @@ class LayoutObject:
         outward = coord > current if direction.is_positive else coord < current
         if not outward:
             return
-        for link in self.links:
+        links = self.links
+        for position in self._dependents(rect):
+            link = links[position]
             if isinstance(link, InsideLink) and link.inner is rect:
                 link.release(direction)
         rect.set_edge_coord(direction, coord)
@@ -402,42 +472,138 @@ class LayoutObject:
         """Re-solve every link to a fixpoint (bounded passes).
 
         Callers typically mutated rect coordinates directly beforehand
-        (primitive construction), so any live index is conservatively
-        invalidated; the compactor's edge moves go through the tracked
-        variant instead, which updates the index precisely.
+        (primitive construction), so every link is re-solved and any live
+        index is conservatively invalidated; the compactor's edge moves go
+        through the tracked variant instead, which re-solves only the links
+        the move reaches and updates the index precisely.
         """
-        self._solve_links()
+        self._unsettled = None
+        self._solve_links(())
         self.invalidate_index()
 
     def _rebuild_links_tracked(self, moved: Rect) -> None:
-        """Re-solve links after an edge move, keeping the index current."""
-        if self._index is None:
-            self._solve_links()
-            return
-        changed = self._solve_links(collect=True)
-        changed.add(id(moved))
-        self._index.note_changed_ids(changed)
+        """Re-solve the links a moved rect reaches, keeping the index current."""
+        changed = self._solve_links(self._dependents(moved))
+        if self._index is not None:
+            changed.add(id(moved))
+            self._index.note_changed_ids(changed)
 
-    def _solve_links(self, collect: bool = False) -> Optional[Set[int]]:
-        """Fixpoint link solve; optionally return ids of rects that moved."""
-        changed: Optional[Set[int]] = set() if collect else None
-        for _ in range(len(self.links) + 2):
-            before = {}
-            for link in self.links:
-                for r in link.involved_rects():
-                    before[id(r)] = r.as_tuple()
-            for link in self.links:
+    def _check_links(self) -> None:
+        """Treat every link as unsettled, and drop the dependency map, when
+        the ``links`` list was replaced or extended behind this object's
+        back (ALT backtracking restores one wholesale)."""
+        links = self.links
+        if self._deps_links is not links or self._deps_len != len(links):
+            self._deps_links = links
+            self._deps_len = len(links)
+            self._unsettled = None
+            self._deps = None
+
+    def _link_deps(self) -> Dict[int, Union[int, Tuple[int, ...]]]:
+        """The rect id -> dependent link positions map, built on first use."""
+        self._check_links()
+        deps = self._deps
+        if deps is None:
+            deps = {}
+            for position, link in enumerate(self.links):
+                for rect in link.involved_rects():
+                    _add_dependent(deps, id(rect), position)
+            self._deps = deps
+        return deps
+
+    def _dependents(self, rect: Rect) -> Tuple[int, ...]:
+        """Ascending positions of the links involving *rect*."""
+        positions = self._link_deps().get(id(rect), ())
+        return (positions,) if positions.__class__ is int else positions
+
+    def _solve_links(self, seeds: Iterable[int]) -> Set[int]:
+        """Worklist link solve; returns the ids of rects that moved.
+
+        Equivalent to re-solving every link in list order, pass after pass,
+        until a pass changes nothing (``repro.verify.reference.
+        solve_links_full``).  When every link is unsettled that is what it
+        does; otherwise it rebuilds only links that can change: the *seeds*
+        (links of the moved rect), the links that may be off their fixpoint
+        (:attr:`_unsettled`), and — transitively — links involving a rect an
+        earlier rebuild changed.  Such a link joins the current pass when it
+        comes later in list order and waits for the next pass otherwise,
+        exactly as the full sweep would meet it.  Passes are bounded by
+        ``len(links) + 2``; work still pending after the last one is counted
+        as ``links.unconverged`` and stays unsettled.
+        """
+        self._check_links()
+        links = self.links
+        unsettled = self._unsettled
+        full = unsettled is None
+        if full:
+            # Every pass re-sweeps every link, as the reference does, so
+            # no dependency map is needed (most objects are only ever
+            # solved this way, by the primitives that build them).
+            deps = self._deps
+            pending = set(range(len(links)))
+        else:
+            deps = self._link_deps()
+            pending = set(seeds)
+            pending.update(unsettled)
+        changed: Set[int] = set()
+        rebuilds = 0
+        passes = 0
+        limit = len(links) + 2
+        while pending and passes < limit:
+            passes += 1
+            queue = sorted(pending)
+            head = 0
+            queued = pending
+            deferred: Set[int] = set()
+            #: rect id -> (rect, coordinates before this pass first wrote it)
+            before: Dict[int, Tuple[Rect, Optional[tuple]]] = {}
+            while head < len(queue):
+                position = queue[head]
+                head += 1
+                link = links[position]
+                outputs = link.outputs()
+                old = [rect.as_tuple() for rect in outputs]
                 link.rebuild()
-            stable = True
-            for link in self.links:
-                for r in link.involved_rects():
-                    rid = id(r)
-                    if before.get(rid) != r.as_tuple():
-                        stable = False
-                        if changed is not None:
-                            changed.add(rid)
-            if stable:
-                break
+                rebuilds += 1
+                for index, rect in enumerate(outputs):
+                    prior = old[index] if index < len(old) else None
+                    if rect.as_tuple() == prior:
+                        continue
+                    key = id(rect)
+                    if key not in before:
+                        before[key] = (rect, prior)
+                    if deps is None:
+                        continue  # full solve: the next pass re-sweeps all
+                    dependents = deps.get(key)
+                    if dependents is None:
+                        # A cut the array grew: only its own link reads it.
+                        deps[key] = position
+                    elif not full and dependents.__class__ is not int:
+                        # (A lone int is this link itself.)
+                        for dependent in dependents:
+                            if dependent > position:
+                                if dependent not in queued:
+                                    queued.add(dependent)
+                                    insort(queue, dependent, head)
+                            elif dependent < position:
+                                deferred.add(dependent)
+            moved = False
+            for key, (rect, prior) in before.items():
+                if rect.as_tuple() != prior:
+                    changed.add(key)
+                    moved = True
+            if full:
+                pending = set(range(len(links))) if moved else set()
+            else:
+                pending = deferred
+        tracer = get_tracer()
+        tracer.count("links.solves")
+        if full:
+            tracer.count("links.full_solves")
+        tracer.count("links.rebuilds", rebuilds)
+        if pending:
+            tracer.count("links.unconverged")
+        self._unsettled = tuple(pending)
         return changed
 
     # ------------------------------------------------------------------

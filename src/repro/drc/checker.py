@@ -303,7 +303,12 @@ def check_enclosures_brute(obj: LayoutObject) -> List[Violation]:
     """Cut-enclosure check — reference path (scans the full rect list)."""
     rects = obj.nonempty_rects
     _Components(rects)  # kept: the reference path pays the component build
-    return _check_enclosures(obj, rects, obj.rects_on)
+
+    def enclosers(position: int, layer: str, grown: Rect) -> Tuple[List[Rect], int]:
+        on_layer = obj.rects_on(layer)
+        return [r for r in on_layer if r.intersects(grown)], len(on_layer)
+
+    return _check_enclosures(obj, rects, enclosers)
 
 
 def check_enclosures(
@@ -313,17 +318,21 @@ def check_enclosures(
 
     Enclosure is evaluated against merged shapes: the margin-grown cut must
     be covered by the union of one component's rects, not necessarily by a
-    single rect.  Conductor rects are served from the index's layer
-    buckets.
+    single rect.  The conductors overlapping each grown cut come from the
+    index's cut × conductor sweeps (their pair tests are counted there).
     """
     index = _ensure_index(obj, index)
-    return _check_enclosures(obj, index.rects, index.rects_on)
+
+    def enclosers(position: int, layer: str, grown: Rect) -> Tuple[List[Rect], int]:
+        return index.enclosure_candidates(position, layer), 0
+
+    return _check_enclosures(obj, index.rects, enclosers)
 
 
-def _check_enclosures(obj: LayoutObject, rects, rects_on) -> List[Violation]:
+def _check_enclosures(obj: LayoutObject, rects, enclosers) -> List[Violation]:
     violations: List[Violation] = []
     scanned = 0
-    for cut in rects:
+    for position, cut in enumerate(rects):
         if obj.tech.rules.cut_size(cut.layer) is None:
             continue
         pairs = obj.tech.connected_layers(cut.layer)
@@ -332,7 +341,9 @@ def _check_enclosures(obj: LayoutObject, rects, rects_on) -> List[Violation]:
         bottoms = {bottom for bottom, _ in pairs}
         tops = {top for _, top in pairs}
         for role, candidates in (("bottom", bottoms), ("top", tops)):
-            enclosed, tested = _enclosed_by_any(obj, rects_on, cut, candidates)
+            enclosed, tested = _enclosed_by_any(
+                obj, enclosers, position, cut, candidates
+            )
             scanned += tested
             if not enclosed:
                 violations.append(
@@ -349,9 +360,14 @@ def _check_enclosures(obj: LayoutObject, rects, rects_on) -> List[Violation]:
 
 
 def _enclosed_by_any(
-    obj: LayoutObject, rects_on, cut: Rect, layers: Sequence[str]
+    obj: LayoutObject, enclosers, position: int, cut: Rect, layers: Sequence[str]
 ) -> Tuple[bool, int]:
-    """``(enclosed, pairs tested)`` — the caller batches the counter."""
+    """``(enclosed, pairs tested)`` — the caller batches the counter.
+
+    *enclosers(position, layer, grown)* returns the *layer* rects whose
+    interiors overlap the grown cut, in source order, and the pair tests
+    it spent finding them.
+    """
     from ..geometry import covered_by
 
     scanned = 0
@@ -360,10 +376,13 @@ def _enclosed_by_any(
     for layer in sorted(layers):
         margin = obj.tech.enclosure_or_zero(layer, cut.layer)
         grown = cut.grown(margin)
-        on_layer = rects_on(layer)
-        scanned += len(on_layer)
-        candidates = [r for r in on_layer if r.intersects(grown)]
-        if candidates and covered_by([grown], candidates):
+        candidates, tested = enclosers(position, layer, grown)
+        scanned += tested
+        if any(rect.contains(grown) for rect in candidates) or (
+            candidates and covered_by([grown], candidates)
+        ):
+            # One conductor usually holds the whole grown cut; the union
+            # test is only needed for cuts straddling merged rects.
             return True, scanned
     return False, scanned
 

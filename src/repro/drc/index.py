@@ -9,8 +9,8 @@ every same-layer pair — on the profiled amplifier build the checker was
 :class:`repro.db.netindex.ConnectivityIndex`:
 
 * **seq-ordered layer buckets** — every non-empty rect is bucketed by
-  layer in source order; ``rects_on`` queries and the enclosure scans are
-  served per bucket instead of filtering the whole rect list;
+  layer in source order; ``rects_on`` queries are served per bucket
+  instead of filtering the whole rect list;
 * **sweep-fed connected components** — per-layer closed-interval x-sweeps
   union touching rects into a union-by-size :class:`~repro.db.nets.
   DisjointSet`, replacing ``_Components``' quadratic same-layer loop while
@@ -27,6 +27,10 @@ every same-layer pair — on the profiled amplifier build the checker was
   pair with EXTEND rules, a strict-interval sweep finds which gates
   overlap which diffusion components, replacing ``check_extensions``'
   gate × component member loops.
+* **cut × conductor enclosure sweeps** — per (cut layer, conductor layer)
+  pair, on first use, a strict-interval sweep of the margin-grown cuts
+  against the conductor bucket finds the conductors each cut's enclosure
+  test needs, replacing ``check_enclosures``' whole-layer scan per cut.
 
 Exactness contract: every indexed check in :mod:`repro.drc.checker`
 returns *the identical violation list* (kind, message, location, rect
@@ -68,7 +72,8 @@ class DrcIndex:
     __slots__ = (
         "obj", "tech", "rects", "_tracked", "_built", "_buckets",
         "_sorted_buckets", "_dsu", "_roots", "_members", "_touchers",
-        "_spacing_candidates", "_cross_touch", "_gate_overlaps", "builds",
+        "_spacing_candidates", "_cross_touch", "_gate_overlaps", "_enclosers",
+        "builds",
     )
 
     def __init__(self, obj) -> None:
@@ -94,6 +99,9 @@ class DrcIndex:
         #: (complete for every layer pair with a positive SPACE rule).
         self._cross_touch: Dict[int, Set[int]] = {}
         self._gate_overlaps: Optional[Set[Tuple[int, int]]] = None
+        #: (cut layer, conductor layer) -> cut index -> ascending indices of
+        #: conductors overlapping the margin-grown cut.
+        self._enclosers: Dict[Tuple[str, str], Dict[int, List[int]]] = {}
         self.builds = 0
 
     # ------------------------------------------------------------------
@@ -207,6 +215,26 @@ class DrcIndex:
         return groups
 
     # ------------------------------------------------------------------
+    # queries (enclosure layer)
+    # ------------------------------------------------------------------
+    def enclosure_candidates(self, cut: int, layer: str) -> List[Rect]:
+        """Rects on *layer* whose interiors overlap rect *cut* grown by the
+        (layer, cut layer) enclosure margin, in source order.
+
+        Exactly the rects the brute enclosure check filters out of the
+        whole layer; one strict-interval sweep per (cut layer, conductor
+        layer) pair answers every cut of that layer.
+        """
+        self.sync()
+        rects = self.rects
+        key = (rects[cut].layer, layer)
+        found = self._enclosers.get(key)
+        if found is None:
+            found = self._sweep_enclosers(*key)
+            self._enclosers[key] = found
+        return [rects[j] for j in found.get(cut, ())]
+
+    # ------------------------------------------------------------------
     # build
     # ------------------------------------------------------------------
     def _build(self) -> None:
@@ -220,6 +248,7 @@ class DrcIndex:
         self._spacing_candidates = None
         self._cross_touch = {}
         self._gate_overlaps = None
+        self._enclosers = {}
 
         buckets = self._buckets
         for index, rect in enumerate(rects):
@@ -445,3 +474,47 @@ class DrcIndex:
             actives[1 - side] = keep
             actives[side].append(i)
         return scanned
+
+    # ------------------------------------------------------------------
+    # enclosure candidates (lazy, per layer pair)
+    # ------------------------------------------------------------------
+    def _sweep_enclosers(self, cut_layer: str, layer: str) -> Dict[int, List[int]]:
+        """Strict-interval sweep of margin-grown cuts against conductors."""
+        margin = self.tech.enclosure_or_zero(layer, cut_layer)
+        rects = self.rects
+        boxes: List[Dict[int, Tuple[int, int, int, int]]] = [{}, {}]
+        events = []
+        for i in self._sorted_buckets.get(cut_layer, ()):
+            rect = rects[i]
+            boxes[0][i] = (
+                rect.x1 - margin, rect.y1 - margin,
+                rect.x2 + margin, rect.y2 + margin,
+            )
+            events.append((rect.x1 - margin, 0, i))
+        for j in self._sorted_buckets.get(layer, ()):
+            rect = rects[j]
+            boxes[1][j] = (rect.x1, rect.y1, rect.x2, rect.y2)
+            events.append((rect.x1, 1, j))
+        events.sort()
+        found: Dict[int, List[int]] = {}
+        actives: List[List[int]] = [[], []]
+        scanned = 0
+        for x1, side, i in events:
+            _, y1, _, y2 = boxes[side][i]
+            others = boxes[1 - side]
+            keep: List[int] = []
+            for j in actives[1 - side]:
+                _, oy1, ox2, oy2 = others[j]
+                if ox2 <= x1:
+                    continue
+                keep.append(j)
+                scanned += 1
+                if oy1 < y2 and y1 < oy2:
+                    cut, conductor = (i, j) if side == 0 else (j, i)
+                    found.setdefault(cut, []).append(conductor)
+            actives[1 - side] = keep
+            actives[side].append(i)
+        for conductors in found.values():
+            conductors.sort()
+        get_tracer().count("drc.pairs_scanned", scanned)
+        return found
