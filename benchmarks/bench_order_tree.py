@@ -1,15 +1,19 @@
 """T-TREE — perf: shared-prefix tree vs replay-based exhaustive order search.
 
 Sec. 2.4 finds the best compaction order by trying "all different
-variations".  The replay baseline recompacts every permutation from scratch
-(O(n!*n) compaction steps); :class:`~repro.opt.TreeOrderOptimizer` shares
-each distinct order prefix (one step per prefix), optionally prunes subtrees
-by the area lower bound, and can fan first-step subtrees out to worker
-processes.  This bench races the four engines on a heterogeneous module of
-transistor-like devices (diffusion + poly + metal straps) at 4-8 objects and
-writes ``benchmarks/results/BENCH_optimizer.json``.  Each serial engine runs
-under a :class:`repro.obs.Tracer`, so every entry carries a per-stage split
+variations".  The replay baseline
+(:func:`repro.verify.reference.replay_orders`) recompacts every permutation
+from scratch (O(n!*n) compaction steps); :class:`~repro.opt.OrderOptimizer`
+shares each distinct order prefix (one step per prefix), optionally prunes
+subtrees by the area lower bound, and can fan first-step subtrees out to
+worker processes.  This bench races replay against the tree engine (plain,
+pruned, parallel) on a heterogeneous module of transistor-like devices
+(diffusion + poly + metal straps) at 4-8 objects and writes
+``benchmarks/results/BENCH_optimizer.json``.  Each serial engine runs under a
+:class:`repro.obs.Tracer`, so every entry carries a per-stage split
 (compaction vs candidate rating vs tree bookkeeping) from the obs timers.
+The 5-object row also records ``facade_compacts``, the compaction count of
+``Environment.optimize_order``; CI gates every ``*compacts`` counter exactly.
 
 Run ``BENCH_SMOKE=1 pytest benchmarks/bench_order_tree.py`` for the quick
 CI variant (4-5 objects, no headline-speedup assertion).
@@ -20,11 +24,13 @@ import os
 import time
 from pathlib import Path
 
+from repro import Environment
 from repro.compact import Compactor
 from repro.db import LayoutObject
 from repro.geometry import Direction, Rect
 from repro.obs import StatsSink, Tracer, activate
-from repro.opt import OrderOptimizer, Step, TreeOrderOptimizer
+from repro.opt import OrderOptimizer, Step
+from repro.verify.reference import replay_orders
 
 RESULTS_DIR = Path(__file__).parent / "results"
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
@@ -47,6 +53,17 @@ SHAPES = [
 # permutation node, so both stop at 7; the pruned engines carry on to 8.
 REPLAY_MAX = 7
 TREE_MAX = 7
+
+
+def tree_engine(**options):
+    """The tree engine, exhaustive at every size this bench runs."""
+    return OrderOptimizer(
+        compactor=Compactor(), exhaustive_limit=len(SHAPES), **options
+    ).optimize
+
+
+def replay(name, tech, steps):
+    return replay_orders(name, tech, steps, compactor=Compactor())
 
 
 def device(tech, name, w, h, net):
@@ -104,45 +121,44 @@ def test_order_tree_scaling(tech, record, ledger_append):
         steps = make_steps(tech, count)
         entry = {}
 
-        replay = None
+        baseline = None
         if count <= REPLAY_MAX:
-            replay_opt = OrderOptimizer(
-                compactor=Compactor(), exhaustive_limit=REPLAY_MAX
+            entry["replay_s"], baseline, entry["replay_stages"] = _timed(
+                replay, "m", tech, steps
             )
-            entry["replay_s"], replay, entry["replay_stages"] = _timed(
-                replay_opt.optimize, "m", tech, steps
-            )
-            entry["replay_compacts"] = replay_opt.compactor.calls
+            entry["replay_compacts"] = baseline.compact_calls
         else:
             entry["replay_s"] = None  # O(n!*n) — dropped, not measured
 
         tree = None
         if count <= TREE_MAX:
             entry["tree_s"], tree, entry["tree_stages"] = _timed(
-                TreeOrderOptimizer(compactor=Compactor(), prune=False).optimize,
-                "m", tech, steps,
+                tree_engine(prune=False), "m", tech, steps,
             )
             entry["tree_compacts"] = tree.compact_calls
         else:
             entry["tree_s"] = None  # visits every permutation — dropped
 
         entry["pruned_s"], pruned, entry["pruned_stages"] = _timed(
-            TreeOrderOptimizer(compactor=Compactor(), prune=True).optimize,
-            "m", tech, steps,
+            tree_engine(prune=True), "m", tech, steps,
         )
         entry["pruned_compacts"] = pruned.compact_calls
         entry["pruned_orders_skipped"] = pruned.pruned
 
         entry["parallel_s"], parallel, _ = _timed(
-            TreeOrderOptimizer(
-                compactor=Compactor(), prune=True, workers=2
-            ).optimize,
-            "m", tech, steps,
+            tree_engine(prune=True, workers=2), "m", tech, steps,
         )
 
+        facade = None
+        if count == 5:
+            facade = Environment(tech=tech).optimize_order("m", steps)
+            entry["facade_compacts"] = facade.compact_calls
+            # The facade is the pruned tree, never the replay sweep.
+            assert facade.compact_calls == pruned.compact_calls
+
         # All engines must agree exactly — same best order, same score.
-        reference = replay or tree or pruned
-        for result in (replay, tree, pruned, parallel):
+        reference = baseline or tree or pruned
+        for result in (baseline, tree, pruned, parallel, facade):
             if result is None:
                 continue
             assert result.best_order == reference.best_order
@@ -150,7 +166,7 @@ def test_order_tree_scaling(tech, record, ledger_append):
         entry["best_order"] = list(reference.best_order)
         entry["best_score"] = reference.best_score
 
-        if replay is not None:
+        if baseline is not None:
             entry["tree_speedup"] = (
                 entry["replay_s"] / entry["tree_s"] if tree else None
             )
@@ -174,6 +190,12 @@ def test_order_tree_scaling(tech, record, ledger_append):
             f" rate {stages['rating_s']:.2f}s"
             f" tree {stages['bookkeeping_s']:.2f}s]"
         )
+        if facade is not None:
+            lines.append(
+                f"  n={count}: Environment.optimize_order"
+                f" {entry['facade_compacts']} compacts"
+                f" (replay {entry['replay_compacts']})"
+            )
 
     if headline is not None:
         report["headline_pruned_speedup_n7"] = headline

@@ -338,7 +338,7 @@ def _pipeline_selfcheck(tech: Technology, workers: Optional[int] = None) -> None
     from .geometry import Direction
     from .library import contact_row
     from .library.dsl_sources import TRANSISTOR_SOURCE
-    from .opt import Step, TreeOrderOptimizer
+    from .opt import OrderOptimizer, Step
 
     env = Environment(tech=tech)
     env.load(TRANSISTOR_SOURCE)
@@ -353,7 +353,7 @@ def _pipeline_selfcheck(tech: Technology, workers: Optional[int] = None) -> None
         Step(contact_row(tech, "poly", w=2.0, length=12.0, net="c", name="c"),
              Direction.WEST),
     ]
-    result = TreeOrderOptimizer(workers=workers).optimize(
+    result = OrderOptimizer(workers=workers).optimize(
         "order_demo", tech, steps
     )
     log.info(

@@ -13,8 +13,8 @@ edges), so a step only pays for the layers it actually touched.
 Structure, per owning object:
 
 * **layer buckets** — every rect, grouped by layer in rect-list order
-  (``seq`` = position in ``owner.rects``; positions never change because
-  rects are only ever appended);
+  (``seq`` = position in the object's ``rects``; positions never change
+  because rects are only ever appended);
 * **per-direction frontier caches** — for each bucket, the survivors of the
   nearest-first interval sweep, keyed by ``(direction, relevant_nets)`` and
   cleared whenever any rect of that layer changes;
@@ -38,6 +38,13 @@ methods (``merge``, ``add_rect``, ``move_edge``, ``move_stretch``,
 hot paths, via a dirty flag (full rebuild on next query) elsewhere.  Code
 that pokes rect coordinates, nets, layers or ``no_overlap`` flags directly
 must call :meth:`LayoutObject.invalidate_index` afterwards.
+
+Ownership: the index holds no reference back to its object — the object
+passes its ``rects`` list to :meth:`FrontierIndex.sync` and
+:meth:`FrontierIndex.in_sync`, and the index keeps only the technology.
+An object and its index therefore form no reference cycle, so a dropped
+layout (a search-tree snapshot, a ``Step.fresh()`` copy) is freed by
+reference counting instead of waiting for a cyclic garbage collection.
 """
 
 from __future__ import annotations
@@ -107,13 +114,13 @@ class FrontierIndex:
     """Persistent spatial index over one :class:`LayoutObject`'s rects."""
 
     __slots__ = (
-        "owner", "_rects_ref", "_tracked", "_dirty",
+        "tech", "_rects_ref", "_tracked", "_dirty",
         "buckets", "_members", "_empty", "nonempty", "net_buckets",
         "rebuilds", "_bbox", "_bbox_valid",
     )
 
-    def __init__(self, owner) -> None:
-        self.owner = owner
+    def __init__(self, tech) -> None:
+        self.tech = tech
         self._rects_ref: Optional[list] = None
         self._tracked = 0
         self._dirty = True
@@ -139,19 +146,19 @@ class FrontierIndex:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def sync(self) -> None:
-        """Catch up with the owner's rect list (appends are incremental;
-        list replacement or an explicit dirty mark trigger a rebuild)."""
-        rects = self.owner.rects
+    def sync(self, rects: List[Rect]) -> None:
+        """Catch up with the object's rect list *rects* (appends are
+        incremental; list replacement or an explicit dirty mark trigger a
+        rebuild)."""
         if self._dirty or self._rects_ref is not rects or self._tracked > len(rects):
-            self._rebuild()
+            self._rebuild(rects)
             return
         if self._tracked < len(rects):
             for seq in range(self._tracked, len(rects)):
                 self._add(seq, rects[seq])
             self._tracked = len(rects)
 
-    def _rebuild(self) -> None:
+    def _rebuild(self, rects: List[Rect]) -> None:
         self.buckets.clear()
         self._members.clear()
         self._empty.clear()
@@ -159,7 +166,6 @@ class FrontierIndex:
         self.nonempty = 0
         self._bbox = None
         self._bbox_valid = True
-        rects = self.owner.rects
         for seq, rect in enumerate(rects):
             self._add(seq, rect)
         self._rects_ref = rects
@@ -199,12 +205,12 @@ class FrontierIndex:
         """Schedule a full rebuild on the next query."""
         self._dirty = True
 
-    def in_sync(self) -> bool:
-        """True when the index exactly mirrors the owner's rect list."""
+    def in_sync(self, rects: List[Rect]) -> bool:
+        """True when the index exactly mirrors the object's rect list."""
         return (
             not self._dirty
-            and self._rects_ref is self.owner.rects
-            and self._tracked == len(self.owner.rects)
+            and self._rects_ref is rects
+            and self._tracked == len(rects)
         )
 
     def note_translate(self, dx: int, dy: int) -> None:
@@ -229,7 +235,7 @@ class FrontierIndex:
     def note_changed_ids(self, rect_ids: Iterable[int]) -> None:
         """Coordinates of the given member rects changed (shrink/stretch/
         link rebuild).  Unknown ids — e.g. link-private array cuts that
-        never entered the owner's rect list — are ignored."""
+        never entered the object's rect list — are ignored."""
         if self._dirty:
             return
         # Members may have shrunk, so the exact bbox can only be recomputed.
@@ -249,13 +255,16 @@ class FrontierIndex:
                 empties[rid] = empty
                 self.nonempty += -1 if empty else 1
 
-    def clone_into(self, clone, mapping: Dict[int, Rect]) -> "FrontierIndex":
+    def clone_into(
+        self, rects: List[Rect], mapping: Dict[int, Rect]
+    ) -> "FrontierIndex":
         """Port the index (including warm frontier caches) onto a snapshot
-        whose rects were cloned through *mapping* with positions preserved.
+        whose rect list *rects* was cloned through *mapping* with positions
+        preserved.
         """
-        twin = FrontierIndex(clone)
+        twin = FrontierIndex(self.tech)
         twin._dirty = False
-        twin._rects_ref = clone.rects
+        twin._rects_ref = rects
         twin._tracked = self._tracked
         twin.nonempty = self.nonempty
         twin._bbox = list(self._bbox) if self._bbox is not None else None
@@ -283,16 +292,16 @@ class FrontierIndex:
     # queries
     # ------------------------------------------------------------------
     def is_empty(self) -> bool:
-        """True when the owner holds no non-empty geometry.
+        """True when the object holds no non-empty geometry.
 
         Served from the exact :attr:`nonempty` count — no rect scan.
         """
         return self.nonempty == 0
 
     def bbox(self) -> Optional[Rect]:
-        """Exact bounding box of the owner's non-empty rects (or None).
+        """Exact bounding box of the object's non-empty rects (or None).
 
-        Equals ``bounding_box(owner.nonempty_rects)`` coordinate for
+        Equals ``bounding_box(obj.nonempty_rects)`` coordinate for
         coordinate.  Appends and translations keep the cache exact in
         O(1); after shrinks/stretches (:meth:`note_changed_ids`) the first
         query recomputes it from the layer buckets.
@@ -328,7 +337,7 @@ class FrontierIndex:
     ) -> List[Tuple[str, List[Rect]]]:
         """Per-layer frontier survivors, ``[(layer, rects), ...]``.
 
-        Concatenated, the groups equal ``frontier_filter(owner.
+        Concatenated, the groups equal ``frontier_filter(obj.
         nonempty_rects, direction, arrival_nets)`` element for element:
         layers ordered by their earliest non-empty rect, survivors in
         nearest-first stable order.
@@ -416,7 +425,7 @@ class FrontierIndex:
         skipped when no rule can apply or the bucket envelope cannot reach
         the probe.
         """
-        tech = self.owner.tech
+        tech = self.tech
         bridge_layer = bridge.layer
         for layer, bucket in self.buckets.items():
             profile = bridge_profile(tech, bridge_layer, layer)

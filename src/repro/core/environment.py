@@ -95,7 +95,11 @@ class Environment:
     def optimize_order(
         self, name: str, steps: Sequence[Step], **kwargs: Any
     ) -> OrderResult:
-        """Search compaction orders for the best-rated result (Sec. 2.4)."""
+        """Search compaction orders for the best-rated result (Sec. 2.4).
+
+        *kwargs* go to :class:`~repro.opt.OrderOptimizer`
+        (``exhaustive_limit``, ``beam_width``, ``prune``, ``workers``).
+        """
         optimizer = OrderOptimizer(self.compactor, self.rating, **kwargs)
         return optimizer.optimize(name, self.tech, steps)
 

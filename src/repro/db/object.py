@@ -90,8 +90,8 @@ class LayoutObject:
         if self._index is None:
             from ..compact.index import FrontierIndex
 
-            self._index = FrontierIndex(self)
-        self._index.sync()
+            self._index = FrontierIndex(self.tech)
+        self._index.sync(self.rects)
         return self._index
 
     def invalidate_index(self) -> None:
@@ -222,8 +222,8 @@ class LayoutObject:
         # this the clone would re-sweep every layer on its first step.
         index = self._index
         clone._index = (
-            index.clone_into(clone, mapping)
-            if index is not None and index.in_sync()
+            index.clone_into(rects, mapping)
+            if index is not None and index.in_sync(self.rects)
             else None
         )
         return clone
@@ -260,7 +260,7 @@ class LayoutObject:
         after every step); otherwise a from-scratch scan.
         """
         index = self._index
-        if index is not None and index.in_sync():
+        if index is not None and index.in_sync(self.rects):
             return index.bbox()
         return bounding_box(self.nonempty_rects)
 
@@ -292,7 +292,7 @@ class LayoutObject:
         and current; otherwise a rect scan.
         """
         index = self._index
-        if index is not None and index.in_sync():
+        if index is not None and index.in_sync(self.rects):
             return index.is_empty()
         return not self.nonempty_rects
 

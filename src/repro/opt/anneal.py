@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..compact import Compactor
-from ..db import LayoutObject
 from ..tech import Technology
-from .order import OrderResult, Step
+from .order import OrderResult, Step, run_order
 from .prefix_tree import PrefixTree
 from .rating import Rating
 
@@ -104,23 +103,10 @@ class AnnealingOrderOptimizer:
                         best_order, best_score = order, current
             temperature *= self.schedule.cooling
 
-        best = self._run(name, tech, steps, best_order)
+        best = run_order(self.compactor, name, tech, steps, best_order)
         return OrderResult(best, best_order, best_score, evaluated, scores)
 
     # ------------------------------------------------------------------
-    def _run(
-        self,
-        name: str,
-        tech: Technology,
-        steps: Sequence[Step],
-        order: Tuple[int, ...],
-    ) -> LayoutObject:
-        main = LayoutObject(name, tech)
-        for index in order:
-            step = steps[index].fresh()
-            self.compactor.compact(main, step.obj, step.direction, step.ignore)
-        return main
-
     def _evaluate(
         self,
         name: str,
@@ -133,4 +119,6 @@ class AnnealingOrderOptimizer:
             # Keep shallow prefixes shared across moves, bound the memory.
             self._tree.prune_depth(self.prefix_cache_depth)
             return score
-        return self.rating.evaluate(self._run(name, tech, steps, order))
+        return self.rating.evaluate(
+            run_order(self.compactor, name, tech, steps, order)
+        )

@@ -1,8 +1,8 @@
 """Shared-prefix search tree over compaction orders.
 
-The exhaustive order search of Sec. 2.4 replays every permutation from an
-empty layout, doing O(n!·n) compaction steps even though permutations share
-long common prefixes.  A :class:`PrefixTree` memoizes the compacted partial
+Taken literally, the exhaustive order search of Sec. 2.4 replays every
+permutation from an empty layout, doing O(n!·n) compaction steps even
+though permutations share long common prefixes.  A :class:`PrefixTree` memoizes the compacted partial
 layout of each order prefix (cheap :meth:`~repro.db.LayoutObject.snapshot`
 copies), so extending a prefix by one step costs exactly one
 :meth:`~repro.compact.Compactor.compact` call — one step per *distinct*
@@ -12,8 +12,9 @@ placement.
 
 The tree serves three clients:
 
-* :class:`~repro.opt.order.TreeOrderOptimizer` walks it depth-first,
-  evicting finished subtrees so memory stays O(n);
+* :class:`~repro.opt.order.OrderOptimizer` walks it depth-first,
+  evicting finished subtrees so memory stays O(n), or expands a beam
+  from it, evicting the orders that drop out of the beam;
 * :func:`~repro.opt.backtrack.select_order_variants` keeps the cache alive
   across topology variants so variants sharing a step prefix share the
   compaction work;

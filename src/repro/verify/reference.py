@@ -2,22 +2,30 @@
 
 Production code never imports this module; tests, benchmarks and
 ``repro verify`` do.  Each function here is the obviously-correct,
-whole-object version of something :mod:`repro.db` does incrementally, and
-the property tests assert the two agree step for step.
+whole-object version of something production code does incrementally —
+the link fixpoint of :mod:`repro.db`, the order sweep of :mod:`repro.opt` —
+and the tests assert the two agree.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+import itertools
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..compact import Compactor
 from ..db import ArrayLink, InsideLink, LayoutObject
 from ..geometry import Direction, Rect
+from ..obs import get_tracer
+from ..opt import OrderResult, Rating, Step
+from ..opt.order import run_order
+from ..tech import Technology
 
 __all__ = [
     "solve_links_full",
     "shrink_limit_full",
     "move_edge_full",
     "move_stretch_full",
+    "replay_orders",
 ]
 
 
@@ -119,3 +127,45 @@ def move_stretch_full(
     changed, _ = solve_links_full(obj)
     changed.add(id(rect))
     return changed
+
+
+def replay_orders(
+    name: str,
+    tech: Technology,
+    steps: Sequence[Step],
+    compactor: Optional[Compactor] = None,
+    rating: Optional[Rating] = None,
+) -> OrderResult:
+    """Every permutation of *steps*, each recompacted from an empty layout.
+
+    The Sec. 2.4 sweep taken literally: n! orders × n compaction steps, all
+    n! orders in ``scores``, and the first strictly better order kept (so
+    ties go to the lexicographically smallest order).  This is the optimum
+    :class:`~repro.opt.OrderOptimizer` reproduces with one compaction per
+    distinct order prefix.
+    """
+    steps = list(steps)
+    if not steps:
+        raise ValueError("no compaction steps to optimize")
+    compactor = compactor if compactor is not None else Compactor()
+    rating = rating if rating is not None else Rating()
+    tracer = get_tracer()
+    best: Optional[LayoutObject] = None
+    best_order: Tuple[int, ...] = ()
+    best_score = float("inf")
+    scores: Dict[Tuple[int, ...], float] = {}
+    calls = compactor.calls
+    with tracer.span("opt.search", engine="replay", steps=len(steps)):
+        for order in itertools.permutations(range(len(steps))):
+            candidate = run_order(compactor, name, tech, steps, order)
+            with tracer.span("opt.rate"):
+                score = rating.evaluate(candidate)
+            tracer.count("opt.trials")
+            scores[order] = score
+            if score < best_score:
+                best, best_order, best_score = candidate, order, score
+    assert best is not None
+    return OrderResult(
+        best, best_order, best_score, len(scores), scores,
+        compact_calls=compactor.calls - calls,
+    )

@@ -4,7 +4,8 @@ import pytest
 
 from repro.db import LayoutObject
 from repro.geometry import Direction, Rect
-from repro.opt import AnnealSchedule, AnnealingOrderOptimizer, OrderOptimizer, Step
+from repro.opt import AnnealSchedule, AnnealingOrderOptimizer, Step
+from repro.verify.reference import replay_orders
 
 
 def make_steps(tech, count):
@@ -46,7 +47,7 @@ def test_deterministic_with_seed(tech):
 
 def test_matches_exhaustive_on_small_instance(tech):
     steps = make_steps(tech, 4)
-    exhaustive = OrderOptimizer().optimize("m", tech, steps)
+    exhaustive = replay_orders("m", tech, steps)
     annealed = AnnealingOrderOptimizer().optimize("m", tech, steps)
     # Annealing finds the global optimum on this tiny instance.
     assert annealed.best_score == pytest.approx(exhaustive.best_score, rel=0.02)

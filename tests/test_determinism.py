@@ -77,6 +77,7 @@ def test_cif_text_is_deterministic(tech):
 def test_order_optimizer_is_deterministic(tech):
     from repro.geometry import Direction
     from repro.opt import OrderOptimizer, Step
+    from repro.verify.reference import replay_orders
 
     def steps():
         return [
@@ -89,3 +90,6 @@ def test_order_optimizer_is_deterministic(tech):
     b = OrderOptimizer().optimize("m", tech, steps())
     assert a.best_order == b.best_order
     assert a.best_score == b.best_score
+    oracle = replay_orders("m", tech, steps())
+    assert a.best_order == oracle.best_order
+    assert a.best_score == oracle.best_score

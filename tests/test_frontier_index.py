@@ -94,12 +94,12 @@ def _apply(obj, index, op):
     elif kind == "translate":
         obj.translate(op[1], op[2])
     else:  # "query": warm the caches mid-sequence
-        index.sync()
+        index.sync(obj.rects)
         index.frontier_groups(op[1], _arrival_nets(op[2]))
 
 
 def _check_equals_scratch(obj, index):
-    index.sync()
+    index.sync(obj.rects)
     fresh = obj.nonempty_rects
     assert index.nonempty == len(fresh)
 
@@ -174,7 +174,7 @@ def test_snapshot_carries_an_exact_index(initial, ops):
     index = obj.frontier_index()
     for op in ops:
         _apply(obj, index, op)
-    index.sync()
+    index.sync(obj.rects)
     index.frontier_groups(Direction.WEST, frozenset({"a"}))  # warm a cache
 
     clone = obj.snapshot()

@@ -6,6 +6,7 @@ from repro.db import LayoutObject
 from repro.geometry import Direction, Rect
 from repro.library import contact_row
 from repro.opt import OrderOptimizer, Rating, Step
+from repro.verify.reference import replay_orders
 
 
 def make_steps(tech, sizes, direction=Direction.WEST):
@@ -32,11 +33,23 @@ def test_parameter_validation():
 
 def test_exhaustive_covers_all_permutations(tech):
     steps = make_steps(tech, [(2000, 2000), (3000, 3000), (4000, 4000)])
-    result = OrderOptimizer().optimize("m", tech, steps)
+    result = OrderOptimizer(prune=False).optimize("m", tech, steps)
     assert result.evaluated == 6
     assert len(result.scores) == 6
     assert result.best_score == min(result.scores.values())
     assert result.scores[result.best_order] == result.best_score
+
+
+def test_replay_oracle_recompacts_every_permutation(tech):
+    steps = make_steps(tech, [(2000, 2000), (3000, 3000), (4000, 4000)])
+    oracle = replay_orders("m", tech, steps)
+    assert oracle.evaluated == len(oracle.scores) == 6
+    assert oracle.compact_calls == 6 * 3  # n! orders x n steps, no sharing
+    tree = OrderOptimizer(prune=False).optimize("m", tech, steps)
+    assert tree.scores == oracle.scores
+    assert (tree.best_order, tree.best_score) == (
+        oracle.best_order, oracle.best_score
+    )
 
 
 def test_order_changes_the_result(tech):
@@ -53,7 +66,7 @@ def test_order_changes_the_result(tech):
         Step(wide, Direction.SOUTH),
         Step(small, Direction.WEST),
     ]
-    result = OrderOptimizer().optimize("m", tech, steps)
+    result = OrderOptimizer(prune=False).optimize("m", tech, steps)
     scores = set(result.scores.values())
     assert len(scores) > 1  # at least two orders differ
     assert result.best_score == min(scores)
@@ -88,7 +101,7 @@ def test_beam_search_used_beyond_limit(tech):
 
 def test_beam_matches_exhaustive_on_easy_case(tech):
     steps = make_steps(tech, [(2000, 2000)] * 3)
-    exhaustive = OrderOptimizer().optimize("m", tech, steps)
+    exhaustive = replay_orders("m", tech, steps)
     beam = OrderOptimizer(exhaustive_limit=1, beam_width=3).optimize("m", tech, steps)
     assert beam.best_score == pytest.approx(exhaustive.best_score)
 

@@ -1,19 +1,25 @@
 """Shared-prefix tree order search: equivalence, pruning, parallel mode.
 
-The tree engine must be a drop-in replacement for the replay-based
-exhaustive sweep of Sec. 2.4: identical ``best_order`` and ``best_score``
-(including lexicographic tie-breaking), with at most one compaction step per
-distinct order prefix, whether pruning or process parallelism is on.
+The tree engine must agree with the replay-based exhaustive sweep of
+Sec. 2.4 (the :func:`~repro.verify.reference.replay_orders` oracle):
+identical ``best_order`` and ``best_score`` (including lexicographic
+tie-breaking), with at most one compaction step per distinct order prefix,
+whether pruning or process parallelism is on.
 """
 
+import logging
 import math
+import os
+import threading
 
 import pytest
 
+from repro import Environment
 from repro.compact import Compactor
 from repro.db import LayoutObject
 from repro.geometry import Direction, Rect
 from repro.library import contact_row, diff_pair
+from repro.obs import StatsSink, Tracer, activate
 from repro.opt import (
     AnnealingOrderOptimizer,
     OrderOptimizer,
@@ -23,6 +29,7 @@ from repro.opt import (
     TreeOrderOptimizer,
     select_order_variants,
 )
+from repro.verify.reference import replay_orders
 
 W, S, E, N = Direction.WEST, Direction.SOUTH, Direction.EAST, Direction.NORTH
 
@@ -64,19 +71,19 @@ def amplifier_style_steps(tech):
 
 
 def assert_engines_agree(tech, steps, rating=None):
-    """All four engines return the identical optimum on *steps*."""
-    n = len(steps)
-    exhaustive = OrderOptimizer(
-        compactor=Compactor(), rating=rating, exhaustive_limit=n
-    ).optimize("m", tech, steps)
+    """The tree engine, pruned or not, serial or parallel, returns the
+    replay oracle's optimum on *steps*."""
+    exhaustive = replay_orders(
+        "m", tech, steps, compactor=Compactor(), rating=rating
+    )
     outcomes = {"exhaustive": exhaustive}
     for label, optimizer in (
-        ("tree", TreeOrderOptimizer(compactor=Compactor(), rating=rating,
-                                    prune=False)),
-        ("pruned", TreeOrderOptimizer(compactor=Compactor(), rating=rating,
-                                      prune=True)),
-        ("parallel", TreeOrderOptimizer(compactor=Compactor(), rating=rating,
-                                        prune=True, workers=2)),
+        ("tree", OrderOptimizer(compactor=Compactor(), rating=rating,
+                                prune=False)),
+        ("pruned", OrderOptimizer(compactor=Compactor(), rating=rating,
+                                  prune=True)),
+        ("parallel", OrderOptimizer(compactor=Compactor(), rating=rating,
+                                    prune=True, workers=2)),
     ):
         result = optimizer.optimize("m", tech, steps)
         assert result.best_order == exhaustive.best_order, label
@@ -138,7 +145,7 @@ def test_one_compact_per_distinct_prefix(tech):
     steps = heterogeneous_steps(tech)
     n = len(steps)
     compactor = Compactor()
-    result = TreeOrderOptimizer(compactor=compactor, prune=False).optimize(
+    result = OrderOptimizer(compactor=compactor, prune=False).optimize(
         "m", tech, steps
     )
     # Distinct non-empty prefixes of an n-step permutation space:
@@ -155,7 +162,7 @@ def test_one_compact_per_distinct_prefix(tech):
 def test_pruned_search_accounting(tech):
     steps = heterogeneous_steps(tech)
     n = len(steps)
-    result = TreeOrderOptimizer(compactor=Compactor(), prune=True).optimize(
+    result = OrderOptimizer(compactor=Compactor(), prune=True).optimize(
         "m", tech, steps
     )
     # Every permutation is either evaluated or pruned, never both.
@@ -175,10 +182,10 @@ def test_negative_weight_disables_pruning_not_correctness(tech):
     obj = LayoutObject("m", tech)
     assert rating.lower_bound(obj) == float("-inf")
     steps = heterogeneous_steps(tech)
-    exhaustive = OrderOptimizer(
-        compactor=Compactor(), rating=rating, exhaustive_limit=4
-    ).optimize("m", tech, steps)
-    pruned = TreeOrderOptimizer(
+    exhaustive = replay_orders(
+        "m", tech, steps, compactor=Compactor(), rating=rating
+    )
+    pruned = OrderOptimizer(
         compactor=Compactor(), rating=rating, prune=True
     ).optimize("m", tech, steps)
     assert pruned.best_order == exhaustive.best_order
@@ -192,8 +199,9 @@ def test_negative_weight_disables_pruning_not_correctness(tech):
 # ----------------------------------------------------------------------
 def test_beam_records_every_terminal_order(tech):
     steps = heterogeneous_steps(tech)
+    compactor = Compactor()
     optimizer = OrderOptimizer(
-        compactor=Compactor(), exhaustive_limit=1, beam_width=2
+        compactor=compactor, exhaustive_limit=1, beam_width=2
     )
     result = optimizer.optimize("m", tech, steps)
     # scores holds every evaluated *complete* order — the final-round
@@ -202,6 +210,113 @@ def test_beam_records_every_terminal_order(tech):
     assert all(len(order) == len(steps) for order in result.scores)
     assert result.best_order in result.scores
     assert result.scores[result.best_order] == pytest.approx(result.best_score)
+    # Pinned from the copy-and-recompact beam the tree expansion replaced:
+    # 4 + 2*3 + 2*2 + 2*1 expansions, one compaction each.
+    assert result.best_order == (3, 2, 1, 0)
+    assert result.best_score == 351.0
+    assert result.evaluated == 16
+    assert result.scores == {(2, 3, 0, 1): 352.0, (3, 2, 1, 0): 351.0}
+    assert compactor.calls == result.compact_calls == 16
+    assert Rating().evaluate(result.best) == result.best_score
+
+
+def test_beam_tree_keeps_only_the_beam(tech, monkeypatch):
+    # After each round only the surviving orders stay resident.
+    steps = heterogeneous_steps(tech)
+    resident = []
+    evict = PrefixTree.evict
+
+    def counting_evict(tree, prefix):
+        dropped = evict(tree, prefix)
+        resident.append(tree.cached_prefixes())
+        return dropped
+
+    monkeypatch.setattr(PrefixTree, "evict", counting_evict)
+    OrderOptimizer(exhaustive_limit=1, beam_width=2).optimize("m", tech, steps)
+    assert resident and max(resident) <= 2 * len(steps)
+    assert resident[-1] == 2
+
+
+# ----------------------------------------------------------------------
+# one engine behind every entry point
+# ----------------------------------------------------------------------
+def test_tree_order_optimizer_is_an_alias():
+    assert TreeOrderOptimizer is OrderOptimizer
+
+
+def test_environment_searches_on_the_tree(tech):
+    # The facade must not regress to replaying every permutation
+    # (n! * n = 96 compactions here).
+    steps = heterogeneous_steps(tech)
+    env = Environment(tech=tech)
+    facade = env.optimize_order("m", steps)
+    pruned = OrderOptimizer(compactor=Compactor()).optimize("m", tech, steps)
+    assert env.compactor.calls == facade.compact_calls == pruned.compact_calls
+    assert facade.compact_calls < 64  # below the unpruned tree, too
+    assert facade.best_order == pruned.best_order
+    assert facade.best_score == pruned.best_score
+
+
+# ----------------------------------------------------------------------
+# parallel fallback: only pool/pickling failures fall back
+# ----------------------------------------------------------------------
+class _WorkerOnlyFailure(Rating):
+    """A rating that fails in worker processes and works in the parent —
+    a serial re-run after a worker error would hide the failure."""
+
+    def __init__(self):
+        super().__init__()
+        self.parent_pid = os.getpid()
+
+    def evaluate(self, obj):
+        if os.getpid() != self.parent_pid:
+            raise ValueError("rating failed in a worker")
+        return super().evaluate(obj)
+
+
+def _local_instance():
+    class Local:
+        pass
+
+    return Local()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [lambda: None, threading.Lock(), _local_instance()],
+    ids=["lambda-PicklingError", "lock-TypeError", "local-AttributeError"],
+)
+def test_unpicklable_steps_fall_back_to_serial(tech, caplog, monkeypatch, payload):
+    # CLI logging setup may have detached the repro logger from the root.
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    steps = heterogeneous_steps(tech)
+    steps[0].obj.attachment = payload  # a step that cannot ship to a worker
+    serial = OrderOptimizer(compactor=Compactor()).optimize("m", tech, steps)
+    tracer = Tracer(enabled=True)
+    stats = StatsSink()
+    tracer.add_sink(stats)
+    with activate(tracer), caplog.at_level(logging.WARNING, logger="repro"):
+        result = OrderOptimizer(compactor=Compactor(), workers=2).optimize(
+            "m", tech, steps
+        )
+    assert stats.counter("opt.parallel_fallbacks") == 1
+    assert "running serially" in caplog.text
+    assert result.best_order == serial.best_order
+    assert result.best_score == serial.best_score
+    assert result.scores == serial.scores
+
+
+def test_worker_search_error_propagates(tech):
+    steps = heterogeneous_steps(tech)
+    tracer = Tracer(enabled=True)
+    stats = StatsSink()
+    tracer.add_sink(stats)
+    optimizer = OrderOptimizer(
+        compactor=Compactor(), rating=_WorkerOnlyFailure(), workers=2
+    )
+    with activate(tracer), pytest.raises(ValueError, match="in a worker"):
+        optimizer.optimize("m", tech, steps)
+    assert stats.counter("opt.parallel_fallbacks") == 0
 
 
 # ----------------------------------------------------------------------
