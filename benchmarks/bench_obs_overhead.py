@@ -6,7 +6,11 @@ fetches the process tracer and takes one ``enabled`` check (spans return a
 shared null object, counters return immediately).  This bench measures
 
 * the Sec. 3 amplifier build + DRC with the tracer disabled vs enabled
-  (a :class:`~repro.obs.StatsSink` attached),
+  (a :class:`~repro.obs.StatsSink` attached), as interleaved ABBA pairs:
+  the enabled overhead is the median of the per-pair enabled/disabled
+  ratios, reported with their interquartile spread (a sequential
+  best-of-N per mode lets machine drift between the two blocks pose as
+  overhead),
 * the microbenchmarked per-call cost of a disabled span and counter, and
 * the estimated disabled overhead: (instrumentation calls actually made by
   the workload) × (disabled per-call cost) / (workload time),
@@ -33,11 +37,12 @@ check when untraced, which ``_disabled_context_capture_ns`` prices
 step, a wild overestimate of real fan-out frequency).
 
 Run ``BENCH_SMOKE=1 pytest benchmarks/bench_obs_overhead.py`` for the quick
-CI variant (one repetition per mode).
+CI variant (one ABBA round: two pairs).
 """
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -55,7 +60,8 @@ from repro.obs import (
 
 RESULTS_DIR = Path(__file__).parent / "results"
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
-REPS = 1 if SMOKE else 3
+#: Disabled/enabled run pairs, alternating which mode runs first (ABBA).
+PAIRS = 2 if SMOKE else 10
 
 #: Acceptance threshold for the disabled-tracer overhead estimate.
 MAX_DISABLED_OVERHEAD_PCT = 2.0
@@ -72,17 +78,18 @@ def _workload(tech):
     return measure_amplifier(amp)
 
 
-def _best_of(reps, func, *args):
-    """Fastest of *reps* runs (the standard way to suppress timer noise)."""
-    best = None
-    result = None
-    for _ in range(reps):
-        start = time.perf_counter()
-        result = func(*args)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, result
+def _timed(func, *args):
+    start = time.perf_counter()
+    result = func(*args)
+    return time.perf_counter() - start, result
+
+
+def _quartiles(values):
+    """(q1, q3) of *values* (inclusive method; both equal for one value)."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
 
 
 def _disabled_call_ns(loops=200_000):
@@ -140,10 +147,6 @@ def _disabled_context_capture_ns(loops=200_000):
 
 
 def test_obs_overhead(tech, record, ledger_append):
-    # Tracer disabled: the production default.
-    disabled_s, report = _best_of(REPS, _workload, tech)
-    assert report.drc_violations == 0
-
     # Tracer enabled with a stats sink: the `repro stats` / `--trace` mode.
     def enabled_run():
         tracer = Tracer(enabled=True)
@@ -153,8 +156,26 @@ def test_obs_overhead(tech, record, ledger_append):
             _workload(tech)
         return stats
 
-    enabled_s, stats = _best_of(REPS, enabled_run)
-    enabled_overhead_pct = 100.0 * (enabled_s - disabled_s) / disabled_s
+    # Tracer disabled (the production default) vs enabled, interleaved
+    # ABBA: pair k runs disabled first for even k, enabled first for odd k.
+    disabled_runs, enabled_runs, ratios = [], [], []
+    for pair in range(PAIRS):
+        if pair % 2 == 0:
+            off, report = _timed(_workload, tech)
+            on, stats = _timed(enabled_run)
+        else:
+            on, stats = _timed(enabled_run)
+            off, report = _timed(_workload, tech)
+        assert report.drc_violations == 0
+        disabled_runs.append(off)
+        enabled_runs.append(on)
+        ratios.append(100.0 * (on / off - 1.0))
+    # The fastest disabled run stays the denominator of the disabled-cost
+    # estimates below (as with the former best-of-N timing).
+    disabled_s = min(disabled_runs)
+    enabled_s = min(enabled_runs)
+    enabled_overhead_pct = statistics.median(ratios)
+    overhead_q1, overhead_q3 = _quartiles(ratios)
 
     # How many instrumentation calls the workload actually makes: every
     # recorded span plus every counter increment batch is one call site hit.
@@ -196,10 +217,12 @@ def test_obs_overhead(tech, record, ledger_append):
     report_json = {
         "workload": "Sec. 3 amplifier build + measure (DRC included)",
         "smoke": SMOKE,
-        "reps": REPS,
+        "pairs": PAIRS,
         "disabled_s": disabled_s,
         "enabled_s": enabled_s,
         "enabled_overhead_pct": enabled_overhead_pct,
+        "enabled_overhead_iqr_pct": [overhead_q1, overhead_q3],
+        "enabled_overhead_pair_pcts": ratios,
         "instrumentation_calls": instrumentation_calls,
         "disabled_per_call_ns": per_call_ns,
         "est_disabled_overhead_pct": est_disabled_overhead_pct,
@@ -223,9 +246,12 @@ def test_obs_overhead(tech, record, ledger_append):
 
     record("t_obs_overhead", [
         "T-OBS — observability layer cost on the amplifier workload:",
-        f"  tracer off  {disabled_s:7.3f}s   (production default)",
-        f"  tracer on   {enabled_s:7.3f}s   ({enabled_overhead_pct:+.1f}%,"
-        " stats sink attached)",
+        f"  tracer off  {disabled_s:7.3f}s   (production default, fastest"
+        f" of {PAIRS})",
+        f"  tracer on   {enabled_s:7.3f}s   (stats sink attached, fastest"
+        f" of {PAIRS})",
+        f"  enabled overhead {enabled_overhead_pct:+.1f}% (median of {PAIRS}"
+        f" ABBA pairs, IQR {overhead_q1:+.1f}% to {overhead_q3:+.1f}%)",
         f"  {instrumentation_calls} instrumentation hits ×"
         f" {per_call_ns:.0f} ns/disabled call"
         f" → {est_disabled_overhead_pct:.3f}% estimated disabled overhead",

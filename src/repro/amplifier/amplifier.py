@@ -89,6 +89,9 @@ def build_amplifier(
 
     for name, block in blocks.items():
         amp.merge(block)
+    # Attach the frontier index: its layer buckets serve the routing
+    # queries (``amp.rects_on``) as wires and straps are appended.
+    amp.frontier_index()
 
     if with_routing:
         _global_routing(amp, tech, margin)
@@ -153,9 +156,8 @@ def _substrate_strips(
         )
         blockers = sorted(
             (r.x1 - m1s, r.x2 + m1s)
-            for r in amp.nonempty_rects
-            if r.layer == "metal1" and r.net != "sub"
-            and r.y1 < y2 and r.y2 > y1
+            for r in amp.rects_on("metal1")
+            if r.net != "sub" and r.y1 < y2 and r.y2 > y1
         )
         segments: List[Tuple[int, int]] = []
         cursor = box.x1
@@ -257,12 +259,10 @@ def _corridor_clear(
     corridor = Rect(
         x - width // 2 - spacing, lo, x + width // 2 + spacing, hi, layer
     )
-    for rect in amp.nonempty_rects:
-        if rect.layer != layer or rect.net == net:
-            continue
-        if corridor.intersects(rect):
-            return False
-    return True
+    return not any(
+        rect.net != net and corridor.intersects(rect)
+        for rect in amp.rects_on(layer)
+    )
 
 
 def _net_pins(
@@ -359,9 +359,8 @@ def _ducked_escape(
     def bands(layer: str) -> List[Tuple[int, int]]:
         out = [
             (r.y1 - margin, r.y2 + margin)
-            for r in amp.nonempty_rects
-            if r.layer == layer and r.net != net
-            and r.x1 < x + half and r.x2 > x - half
+            for r in amp.rects_on(layer)
+            if r.net != net and r.x1 < x + half and r.x2 > x - half
         ]
         out.sort()
         return out
@@ -449,10 +448,8 @@ def _metal1_escape(
             y_pad = box.y1 - plate
             corridor = Rect(x - half, y_pad - plate, x + half, anchor.y1, "metal1")
         blocked = any(
-            r.layer == "metal1"
-            and r.net != net
-            and corridor.intersects(r)
-            for r in amp.nonempty_rects
+            r.net != net and corridor.intersects(r)
+            for r in amp.rects_on("metal1")
         )
         if blocked:
             continue
@@ -501,8 +498,8 @@ def _metal2_escape(
                 x - half, y_pad - plate, x + half, start_y + plate, "metal2"
             )
         blocked = any(
-            r.layer == "metal2" and r.net != net and corridor.intersects(r)
-            for r in amp.nonempty_rects
+            r.net != net and corridor.intersects(r)
+            for r in amp.rects_on("metal2")
         )
         if blocked:
             continue

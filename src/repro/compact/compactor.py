@@ -29,13 +29,10 @@ from ..obs import get_logger, get_tracer
 from ..obs.provenance import get_recorder
 from .separation import (
     PairConstraint,
-    _pair_profile,
     bridge_profile,
     frontier_filter,
     gather_constraints,
     gather_constraints_grouped,
-    pair_travel,
-    required_spacing,
 )
 
 #: Hard cap on variable-edge iterations per compaction step.
@@ -233,9 +230,6 @@ class Compactor:
             groups = index.frontier_groups(direction, arrival_nets)
             survivors = sum(len(rects) for _, rects in groups)
             tracer.count("compact.frontier_dropped", index.nonempty - survivors)
-            groups = self._prune_window(
-                main.tech, moving, groups, direction, ignore, tracer
-            )
             constraints = gather_constraints_grouped(
                 main.tech, moving, groups, direction, ignore
             )
@@ -254,75 +248,6 @@ class Compactor:
         )
         tracer.count("compact.constraints", len(constraints))
         return constraints
-
-    @staticmethod
-    def _prune_window(
-        tech,
-        moving: Sequence[Rect],
-        groups: List[Tuple[str, List[Rect]]],
-        direction: Direction,
-        ignore: Tuple[str, ...],
-        tracer,
-    ) -> List[Tuple[str, List[Rect]]]:
-        """Drop frontier rects the arriving object cannot reach sideways.
-
-        A pair only constrains motion when the perpendicular spans, grown by
-        the pair's spacing, overlap.  With ``[lo, hi]`` the union of the
-        moving rects' perpendicular spans and ``S`` the largest spacing any
-        moving layer carries against the fixed layer, a fixed rect whose span
-        fails ``lo - S < r2 and r1 - S < hi`` fails the overlap test for
-        every moving rect (each span sits inside ``[lo, hi]``, each spacing
-        is at most ``S``), so dropping it cannot change any constraint —
-        and surviving rects keep their frontier order, preserving the naive
-        loop's pair ordering exactly.
-        """
-        perp = direction.axis.other
-        lo = hi = None
-        moving_layers = set()
-        for rect in moving:
-            if rect.layer in ignore or rect.is_empty:
-                continue
-            m1, m2 = rect.span(perp)
-            if lo is None or m1 < lo:
-                lo = m1
-            if hi is None or m2 > hi:
-                hi = m2
-            moving_layers.add(rect.layer)
-        if lo is None:
-            tracer.count(
-                "compact.index_window_dropped",
-                sum(len(rects) for _, rects in groups),
-            )
-            return []
-        dropped = 0
-        pruned: List[Tuple[str, List[Rect]]] = []
-        horizontal = perp is Axis.HORIZONTAL
-        for flayer, frects in groups:
-            if flayer in ignore:
-                continue  # gather skips the whole group anyway
-            margin = None
-            for mlayer in moving_layers:
-                profile = _pair_profile(tech, mlayer, flayer)
-                if profile is None:
-                    continue
-                spacing = profile[0] or 0
-                if margin is None or spacing > margin:
-                    margin = spacing
-            if margin is None:
-                # No moving layer can constrain against this fixed layer.
-                dropped += len(frects)
-                continue
-            wlo = lo - margin
-            whi = hi + margin
-            if horizontal:
-                keep = [r for r in frects if wlo < r.x2 and r.x1 < whi]
-            else:
-                keep = [r for r in frects if wlo < r.y2 and r.y1 < whi]
-            dropped += len(frects) - len(keep)
-            if keep:
-                pruned.append((flayer, keep))
-        tracer.count("compact.index_window_dropped", dropped)
-        return pruned
 
     def _fallback_travel(
         self, main: LayoutObject, obj: LayoutObject, direction: Direction
@@ -507,41 +432,53 @@ class Compactor:
                 if id(rect) not in new_ids and rect.net is not None:
                     residents.setdefault((rect.net, rect.layer), []).append(rect)
         connected = 0
-        perp = direction.axis.other
+        horizontal = direction.axis is Axis.HORIZONTAL
+        facing = direction.opposite
         sign = 1 if direction.is_positive else -1
 
         for arrival in new_rects:
             if arrival.net is None or arrival.is_empty:
                 continue
             for resident in residents.get((arrival.net, arrival.layer), ()):
+                # The arrival's coordinates are re-read for every resident on
+                # purpose: a stretch below solves the resident's links, and a
+                # link may move the arrival itself, so values hoisted out of
+                # this loop go stale.  tests/test_link_solver.py::
+                # test_amplifier_link_counters pins this (hoisting them
+                # changes the amplifier's links.rebuilds count).
+                if horizontal:
+                    a1, a2, r1, r2 = arrival.y1, arrival.y2, resident.y1, resident.y2
+                else:
+                    a1, a2, r1, r2 = arrival.x1, arrival.x2, resident.x1, resident.x2
                 # Stretching moves the resident's whole edge, so the landing
                 # must cover the resident's full perpendicular span —
-                # otherwise the stretch would spill past the arrival.
-                a1, a2 = arrival.span(perp)
-                r1, r2 = resident.span(perp)
-                if not (a1 <= r1 and r2 <= a2):
+                # otherwise the stretch would spill past the arrival.  A
+                # resident with an empty span has no strip to bridge.
+                if not (a1 <= r1 and r2 <= a2) or r1 >= r2:
                     continue
                 # Gap along the axis between the resident's facing edge and
                 # the arrival's leading edge: the arrival travelled along
                 # *direction* and stopped short of the resident, so the
                 # separation is positive when face lies beyond lead in the
                 # direction of travel.
-                face = resident.edge_coord(direction.opposite)
+                face = resident.edge_coord(facing)
                 lead = arrival.edge_coord(direction)
-                gap = (face - lead) * sign
-                if gap <= 0:
+                if (face - lead) * sign <= 0:
                     continue  # already touching or overlapping
-                bridge = self._bridge_rect(arrival, resident, direction)
-                if bridge is None:
-                    continue
+                # The strip the stretched resident would newly occupy: the
+                # gap along the axis, the resident's full perpendicular span.
+                c1, c2 = (lead, face) if lead < face else (face, lead)
+                bridge = (c1, r1, c2, r2) if horizontal else (r1, c1, r2, c2)
                 blocked = (
-                    index.bridge_blocked(bridge, arrival.net)
+                    index.bridge_blocked(arrival.layer, bridge, arrival.net)
                     if index is not None
-                    else self._bridge_blocked(main, bridge, arrival.net)
+                    else self._bridge_blocked(
+                        main, arrival.layer, bridge, arrival.net
+                    )
                 )
                 if blocked:
                     continue
-                main.move_stretch(resident, direction.opposite, lead)
+                main.move_stretch(resident, facing, lead)
                 if resident.prov is not None and arrival.prov is not None:
                     resident.prov = resident.prov.derived(
                         "auto_connect", arrival.prov
@@ -549,29 +486,17 @@ class Compactor:
                 connected += 1
         return connected
 
-    def _bridge_rect(
-        self, arrival: Rect, resident: Rect, direction: Direction
-    ) -> Optional[Rect]:
-        """The strip the stretched resident would newly occupy.
-
-        The resident's whole edge moves, so the strip spans the resident's
-        full perpendicular extent.
-        """
-        perp = direction.axis.other
-        lo, hi = resident.span(perp)
-        if lo >= hi:
-            return None
-        face = resident.edge_coord(direction.opposite)
-        lead = arrival.edge_coord(direction)
-        coords = sorted((face, lead))
-        if direction.axis is direction.axis.HORIZONTAL:
-            return Rect(coords[0], lo, coords[1], hi, resident.layer, resident.net)
-        return Rect(lo, coords[0], hi, coords[1], resident.layer, resident.net)
-
-    def _bridge_blocked(self, main: LayoutObject, bridge: Rect, net: str) -> bool:
+    def _bridge_blocked(
+        self,
+        main: LayoutObject,
+        layer: str,
+        bridge: Tuple[int, int, int, int],
+        net: str,
+    ) -> bool:
         """True when stretching across *bridge* would violate a rule.
 
-        Checked against every foreign-net rect: same-layer spacing (shorts),
+        *bridge* is the strip ``(x1, y1, x2, y2)`` on *layer*.  Checked
+        against every foreign-net rect: same-layer spacing (shorts),
         cross-layer spacing, and EXTEND relationships — a poly bridge must
         never cross diffusion (it would create a transistor).  The per-rect
         rule questions are hoisted to one memoized :func:`bridge_profile`
@@ -580,16 +505,16 @@ class Compactor:
         layers by bucket envelope.)
         """
         tech = main.tech
-        bridge_layer = bridge.layer
+        strip = Rect(*bridge, layer)
         for rect in main.nonempty_rects:
-            profile = bridge_profile(tech, bridge_layer, rect.layer)
+            profile = bridge_profile(tech, layer, rect.layer)
             if profile is None:
                 continue  # no spacing rule, no device rule: cannot block
             connect, spacing, forms_device = profile
             if connect and rect.net == net:
                 continue
-            if forms_device and bridge.intersects(rect):
+            if forms_device and strip.intersects(rect):
                 return True
-            if spacing is not None and bridge.grown(spacing).intersects(rect):
+            if spacing is not None and strip.grown(spacing).intersects(rect):
                 return True
         return False

@@ -49,6 +49,7 @@ reference counting instead of waiting for a cyclic garbage collection.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..geometry import Direction, Rect
@@ -347,7 +348,7 @@ class FrontierIndex:
             seq = bucket.first_nonempty_seq()
             if seq is not None:
                 ordered.append((seq, layer, bucket))
-        ordered.sort(key=lambda item: item[0])
+        ordered.sort()  # seqs are unique: buckets are never compared
         tracer = get_tracer()
         groups: List[Tuple[str, List[Rect]]] = []
         for _, layer, bucket in ordered:
@@ -365,7 +366,7 @@ class FrontierIndex:
         # Only nets actually present on the layer can alter the sweep, so
         # arrivals with disjoint nets share one cache entry.
         if arrival_nets and bucket.nets:
-            relevant = frozenset(n for n in arrival_nets if n in bucket.nets)
+            relevant = arrival_nets & bucket.nets
         else:
             relevant = frozenset()
         key = (direction, relevant)
@@ -383,63 +384,82 @@ class FrontierIndex:
         bucket: LayerBucket, direction: Direction, arrival_nets: FrozenSet[str]
     ) -> List[Rect]:
         """One layer of ``frontier_filter``: nearest-first interval sweep."""
-        facing = direction.opposite
-        sign = 1 if direction.is_positive else -1
-        perp = direction.axis.other
-        layer_rects = [r for r in bucket.rects if not r.is_empty]
-        layer_rects.sort(key=lambda r: sign * r.edge_coord(facing))
+        face, reverse, span = _SWEEP_KEYS[direction]
+        layer_rects = [
+            r for r in bucket.rects if r.x1 < r.x2 and r.y1 < r.y2
+        ]
+        # Sorting on the facing coordinate, descending for negative
+        # directions, equals the stable sort on the sign-adjusted key:
+        # ``reverse`` keeps equal keys in their original order.
+        layer_rects.sort(key=face, reverse=reverse)
         survivors: List[Rect] = []
         general = IntervalSet()
         general_strict = IntervalSet()
         per_net: dict = {}
         for rect in layer_rects:
-            lo, hi = rect.span(perp)
+            lo, hi = span(rect)
+            net = rect.net
             cover = general_strict if rect.no_overlap else general
-            own = per_net.get(rect.net)
-            shadowed = cover.contains(lo, hi) or (
-                own is not None and own.contains(lo, hi)
-            )
-            if not shadowed:
+            own = per_net.get(net)
+            if not cover.contains(lo, hi) and (
+                own is None or not own.contains(lo, hi)
+            ):
                 survivors.append(rect)
-            if rect.net is None or rect.net not in arrival_nets:
+            if net is None or net not in arrival_nets:
                 general.add(lo, hi)
                 if rect.no_overlap:
                     general_strict.add(lo, hi)
             else:
-                per_net.setdefault(rect.net, IntervalSet()).add(lo, hi)
+                if own is None:
+                    own = per_net[net] = IntervalSet()
+                own.add(lo, hi)
         return survivors
+
+    def layer_rects(self, layer: str) -> List[Rect]:
+        """Non-empty member rects on *layer*, in seq (rect-list) order."""
+        bucket = self.buckets.get(layer)
+        if bucket is None:
+            return []
+        return [r for r in bucket.rects if r.x1 < r.x2 and r.y1 < r.y2]
 
     def residents(self, net: str, layer: str) -> List[Rect]:
         """Same-net same-layer member rects in seq order (may include
         empties — callers filter, matching the from-scratch bucket scan)."""
         return self.net_buckets.get((net, layer), _NO_RECTS)
 
-    def bridge_blocked(self, bridge: Rect, net: str) -> bool:
+    def bridge_blocked(
+        self, layer: str, bridge: Tuple[int, int, int, int], net: str
+    ) -> bool:
         """True when stretching across *bridge* would violate a rule.
 
-        Semantically identical to the naive scan over every non-empty rect
-        (same-layer spacing, cross-layer spacing, EXTEND device formation),
-        but layer-pair rules are hoisted out of the rect loop through the
-        memoized :func:`~repro.compact.separation.bridge_profile`, the
-        grown probe rect is built once per layer, and whole layers are
-        skipped when no rule can apply or the bucket envelope cannot reach
-        the probe.
+        *bridge* is the strip ``(x1, y1, x2, y2)`` on *layer*.  Semantically
+        identical to the naive scan over every non-empty rect (same-layer
+        spacing, cross-layer spacing, EXTEND device formation), but
+        layer-pair rules are hoisted out of the rect loop through the
+        memoized :func:`~repro.compact.separation.bridge_profile`, the grown
+        probe is computed once per layer on plain coordinates, and whole
+        layers are skipped when no rule can apply or the bucket envelope
+        cannot reach the probe.
         """
         tech = self.tech
-        bridge_layer = bridge.layer
-        for layer, bucket in self.buckets.items():
-            profile = bridge_profile(tech, bridge_layer, layer)
+        bx1, by1, bx2, by2 = bridge
+        for other, bucket in self.buckets.items():
+            profile = bridge_profile(tech, layer, other)
             if profile is None:
                 continue  # no spacing rule, no device rule: cannot block
             connect, spacing, forms_device = profile
-            probe = bridge if spacing is None else bridge.grown(spacing)
-            box = bucket.bbox
-            if box is None or box[0] >= probe.x2 or probe.x1 >= box[2] \
-                    or box[1] >= probe.y2 or probe.y1 >= box[3]:
-                continue
-            px1, py1, px2, py2 = probe.x1, probe.y1, probe.x2, probe.y2
-            bx1, by1, bx2, by2 = bridge.x1, bridge.y1, bridge.x2, bridge.y2
             check_space = spacing is not None
+            if check_space:
+                # Sorted as Rect.grown would normalise a probe that a
+                # negative spacing inverts.
+                px1, px2 = sorted((bx1 - spacing, bx2 + spacing))
+                py1, py2 = sorted((by1 - spacing, by2 + spacing))
+            else:
+                px1, py1, px2, py2 = bx1, by1, bx2, by2
+            box = bucket.bbox
+            if box is None or box[0] >= px2 or px1 >= box[2] \
+                    or box[1] >= py2 or py1 >= box[3]:
+                continue
             for rect in bucket.rects:
                 if rect.x1 >= rect.x2 or rect.y1 >= rect.y2:
                     continue
@@ -459,3 +479,12 @@ class FrontierIndex:
 
 
 _NO_RECTS: List[Rect] = []
+
+#: Per direction of motion: the sort key of the facing edge, whether the
+#: nearest-first order is descending in it, and the perpendicular span.
+_SWEEP_KEYS = {
+    Direction.NORTH: (attrgetter("y1"), False, attrgetter("x1", "x2")),
+    Direction.SOUTH: (attrgetter("y2"), True, attrgetter("x1", "x2")),
+    Direction.EAST: (attrgetter("x1"), False, attrgetter("y1", "y2")),
+    Direction.WEST: (attrgetter("x2"), True, attrgetter("y1", "y2")),
+}

@@ -237,7 +237,14 @@ class LayoutObject:
         return [r for r in self.rects if not r.is_empty]
 
     def rects_on(self, layer: str) -> List[Rect]:
-        """Non-empty rects on *layer*."""
+        """Non-empty rects on *layer*, in rect-list order.
+
+        Served from the frontier index's layer bucket when an index is
+        attached (a compaction target, or the amplifier during routing), so
+        a query touches one layer instead of every rect; otherwise a scan.
+        """
+        if self._index is not None:
+            return self.frontier_index().layer_rects(layer)
         return [r for r in self.nonempty_rects if r.layer == layer]
 
     def rects_on_net(self, net: str) -> List[Rect]:

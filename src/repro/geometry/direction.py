@@ -3,6 +3,11 @@
 The paper's compaction calls are written as ``compact(polycon, SOUTH, "poly")``;
 this module defines the four compass directions with the vector arithmetic the
 compactor and primitives need.  NORTH is +y, EAST is +x.
+
+The derived values (``dx``, ``opposite``, ``axis``, ...) are plain member
+attributes, set once at import: the compactor reads them in its per-pair
+loops, where a property call through the enum machinery costs more than the
+arithmetic it guards.
 """
 
 from __future__ import annotations
@@ -11,24 +16,30 @@ import enum
 
 
 class Axis(enum.Enum):
-    """Coordinate axis; HORIZONTAL means motion along x."""
+    """Coordinate axis; HORIZONTAL means motion along x.
+
+    ``other`` is the perpendicular axis.
+    """
 
     HORIZONTAL = "x"
     VERTICAL = "y"
 
-    @property
-    def other(self) -> "Axis":
-        """Return the perpendicular axis."""
-        if self is Axis.HORIZONTAL:
-            return Axis.VERTICAL
-        return Axis.HORIZONTAL
+    #: Identity hash: members are singletons, and the default enum hash
+    #: (a Python-level ``hash(name)``) is slow on dictionary-key hot paths.
+    __hash__ = object.__hash__
 
 
 class Direction(enum.Enum):
     """One of the four compass directions.
 
     Members carry the unit vector of motion: compacting an object SOUTH moves
-    it toward negative y until it abuts the existing structure.
+    it toward negative y until it abuts the existing structure.  Attributes:
+
+    * ``dx``, ``dy`` — components of the unit vector;
+    * ``opposite`` — the direction pointing the other way;
+    * ``axis`` — the :class:`Axis` of motion;
+    * ``is_positive`` — True for NORTH and EAST (toward +coordinates);
+    * ``perpendiculars`` — the two orthogonal directions, negative first.
     """
 
     NORTH = (0, 1)
@@ -36,39 +47,13 @@ class Direction(enum.Enum):
     EAST = (1, 0)
     WEST = (-1, 0)
 
-    @property
-    def dx(self) -> int:
-        """x component of the unit vector."""
-        return self.value[0]
+    __hash__ = object.__hash__
 
-    @property
-    def dy(self) -> int:
-        """y component of the unit vector."""
-        return self.value[1]
-
-    @property
-    def opposite(self) -> "Direction":
-        """Return the direction pointing the other way."""
-        return _OPPOSITE[self]
-
-    @property
-    def axis(self) -> Axis:
-        """Axis of motion for this direction."""
-        if self.dx:
-            return Axis.HORIZONTAL
-        return Axis.VERTICAL
-
-    @property
-    def is_positive(self) -> bool:
-        """True for NORTH and EAST (motion toward +coordinates)."""
-        return self.dx + self.dy > 0
-
-    @property
-    def perpendiculars(self) -> tuple["Direction", "Direction"]:
-        """The two directions orthogonal to this one."""
-        if self.axis is Axis.HORIZONTAL:
-            return (Direction.SOUTH, Direction.NORTH)
-        return (Direction.WEST, Direction.EAST)
+    def __init__(self, dx: int, dy: int) -> None:
+        self.dx = dx
+        self.dy = dy
+        self.axis = Axis.HORIZONTAL if dx else Axis.VERTICAL
+        self.is_positive = dx + dy > 0
 
     @classmethod
     def from_name(cls, name: str) -> "Direction":
@@ -83,12 +68,16 @@ class Direction(enum.Enum):
             raise ValueError(f"unknown direction {name!r}") from None
 
 
-_OPPOSITE = {
-    Direction.NORTH: Direction.SOUTH,
-    Direction.SOUTH: Direction.NORTH,
-    Direction.EAST: Direction.WEST,
-    Direction.WEST: Direction.EAST,
-}
+Axis.HORIZONTAL.other = Axis.VERTICAL
+Axis.VERTICAL.other = Axis.HORIZONTAL
+for _direction in Direction:
+    _direction.opposite = Direction((-_direction.dx, -_direction.dy))
+    _direction.perpendiculars = (
+        (Direction.SOUTH, Direction.NORTH)
+        if _direction.axis is Axis.HORIZONTAL
+        else (Direction.WEST, Direction.EAST)
+    )
+del _direction
 
 #: Convenience aliases matching the paper's source-code examples.
 NORTH = Direction.NORTH

@@ -261,6 +261,7 @@ class Rect:
 
     def copy(self) -> "Rect":
         """Deep copy including edge properties (shares the provenance record)."""
+        edges = self._edges
         return Rect(
             self.x1,
             self.y1,
@@ -269,7 +270,7 @@ class Rect:
             self.layer,
             self.net,
             self.no_overlap,
-            {d: p.copy() for d, p in self._edges.items()},
+            {d: p.copy() for d, p in edges.items()} if edges else None,
             self.prov,
         )
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.compact import Compactor, frontier_filter
+from repro.compact import Compactor, frontier_filter, gather_constraints
 from repro.db import LayoutObject
 from repro.geometry import Direction, Rect, bounding_box
 from repro.tech import generic_bicmos_1u
@@ -205,8 +205,11 @@ def test_bridge_blocked_matches_naive_scan(fixed, bridges, direction):
     for bridge in bridges:
         if bridge.net is None or bridge.is_empty:
             continue
-        expected = compactor._bridge_blocked(main, bridge, bridge.net)
-        assert index.bridge_blocked(bridge, bridge.net) == expected
+        strip = bridge.as_tuple()
+        expected = compactor._bridge_blocked(
+            main, bridge.layer, strip, bridge.net
+        )
+        assert index.bridge_blocked(bridge.layer, strip, bridge.net) == expected
 
 
 @settings(
@@ -232,3 +235,82 @@ def test_indexed_compactor_matches_unindexed(rect_list, direction):
         ]
 
     assert pack(True) == pack(False)
+
+
+# Coordinates on a coarse 500 dbu grid in a small window, so edges of
+# different rects coincide (and, for the 1500/2000/2500 dbu rules, sit
+# exactly one spacing apart) often enough to pin every strict/non-strict
+# window and overlap comparison.
+grid_rects = st.builds(
+    lambda x, y, w, h, layer, net, no_overlap: Rect(
+        500 * x, 500 * y, 500 * (x + w), 500 * (y + h), layer, net,
+        no_overlap=no_overlap,
+    ),
+    st.integers(min_value=-30, max_value=30),
+    st.integers(min_value=-30, max_value=30),
+    st.integers(min_value=2, max_value=16),
+    st.integers(min_value=2, max_value=16),
+    st.sampled_from(LAYERS),
+    st.sampled_from(["a", "b", None]),
+    st.booleans(),
+)
+
+# A mover: 1-4 rects, each optionally with all edges variable (so the
+# compactor runs shrink rounds).
+movers = st.lists(
+    st.tuples(grid_rects, st.booleans()), min_size=1, max_size=4
+)
+
+
+def _constraint_key(constraints):
+    return [
+        (id(c.moving), id(c.fixed), c.spacing, c.max_travel)
+        for c in constraints
+    ]
+
+
+class _OracleCheckedCompactor(Compactor):
+    """Indexed compactor that checks every constraint set it computes
+    against the unindexed from-scratch gather on the same state."""
+
+    rounds = 0
+
+    def _constraints(self, main, obj, direction, ignore):
+        got = super()._constraints(main, obj, direction, ignore)
+        moving = obj.nonempty_rects
+        nets = frozenset(r.net for r in moving if r.net is not None)
+        fixed = frontier_filter(main.nonempty_rects, direction, nets)
+        expected = gather_constraints(main.tech, moving, fixed, direction, ignore)
+        assert _constraint_key(got) == _constraint_key(expected)
+        self.rounds += 1
+        return got
+
+
+@settings(
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow],
+    deadline=None,
+)
+@given(
+    st.lists(movers, min_size=2, max_size=5),
+    directions,
+    st.lists(st.sampled_from(LAYERS), max_size=1, unique=True),
+)
+def test_indexed_constraints_match_oracle_every_round(mover_list, direction, ignore):
+    """Per shrink round, the one-pass indexed constraint gather returns the
+    from-scratch ``gather_constraints`` over ``frontier_filter`` — the same
+    (moving, fixed, spacing, max_travel) sequence, in order — for
+    multi-rect movers with mixed nets, no_overlap rects and ignored layers.
+    """
+    main = LayoutObject("main", TECH)
+    compactor = _OracleCheckedCompactor()
+    for i, parts in enumerate(mover_list):
+        mover = LayoutObject(f"m{i}", TECH)
+        for rect, variable in parts:
+            clone = rect.copy()
+            if variable:
+                clone.set_variable()
+            mover.add_rect(clone)
+        compactor.compact(main, mover, direction, ignore_layers=ignore)
+    # Every arrival after the first solves at least one round.
+    assert compactor.rounds >= len(mover_list) - 1
